@@ -67,6 +67,45 @@ class BufferAllocator:
         self.free_bytes -= size
         return start
 
+    def bump_run(self) -> tuple[int, int, int]:
+        """``(start, room, floor)``: where best fit places a run of allocations.
+
+        ``start`` and ``room`` are the head and size of the largest free
+        region, ``floor`` the size of the largest *other* one.  While each
+        allocation of a run is larger than ``floor`` and the run so far
+        still fits in ``room``, every other region is too small, so best
+        fit places the allocations back to back from ``start`` — exactly
+        what :meth:`commit_run` records.
+        """
+        top = self._free_by_size.max()
+        if top is None:
+            return 0, 0, 0
+        room, start = top
+        below = self._free_by_size.floor((room, start - 1))
+        return start, room, below[0] if below is not None else 0
+
+    def commit_run(self, start: int, sizes: list[int]) -> None:
+        """Record ``sizes`` allocated back to back from free region ``start``.
+
+        The state equals one :meth:`alloc` per size when the run obeys
+        :meth:`bump_run`'s bounds, at the cost of one AVL update.
+        """
+        if not sizes:
+            return
+        region = self._free_start_to_size.get(start)
+        total = sum(sizes)
+        if region is None or total > region or min(sizes) <= 0:
+            raise AllocationError(
+                f"run of {total} bytes does not fit free region at {start}")
+        self._remove_free(start, region)
+        if region > total:
+            self._add_free(start + total, region - total)
+        used = self._used
+        for size in sizes:
+            used[start] = size
+            start += size
+        self.free_bytes -= total
+
     def free(self, offset: int) -> int:
         """Release the block at ``offset``; returns its size.
 

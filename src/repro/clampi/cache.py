@@ -38,7 +38,7 @@ from repro.clampi.stats import CacheStats
 from repro.obs.trace import span as obs_span
 from repro.runtime.network import MemoryModel, NetworkModel
 from repro.runtime.window import Window
-from repro.utils.errors import CacheError
+from repro.utils.errors import CacheError, EpochError, WindowError
 from repro.utils.rng import derive_seed
 from repro.utils.units import NS
 
@@ -97,6 +97,24 @@ class ClampiConfig:
             )
 
 
+def _group_rows(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, new)``: stable lexicographic order of the rows whose
+    columns are ``cols``, and which sorted rows start a new group.
+
+    Equal rows sort together with their positions ascending, so the
+    first row of each group is its key's first occurrence.
+    """
+    order = np.lexsort(cols[::-1])
+    new = np.empty(order.shape[0], dtype=bool)
+    if order.shape[0]:
+        new[0] = True
+        new[1:] = False
+        for col in cols:
+            s = col[order]
+            new[1:] |= s[1:] != s[:-1]
+    return order, new
+
+
 class BatchStream:
     """A precomputed access stream for :meth:`ClampiCache.access_batch`.
 
@@ -121,25 +139,22 @@ class BatchStream:
                 and self.targets.ndim == 1):
             raise CacheError("a batch stream needs three equal-length "
                              "1-D arrays")
-        self.m = self.targets.shape[0]
-        if self.m:
-            keys3 = np.stack([self.targets, self.offsets, self.counts],
-                             axis=1)
-            self.uniq, inv = np.unique(keys3, axis=0, return_inverse=True)
-            self.inv = inv.reshape(-1)
-        else:
-            self.uniq = np.zeros((0, 3), dtype=np.int64)
-            self.inv = np.zeros(0, dtype=np.int64)
-        self._occ = None
+        self.m = m = self.targets.shape[0]
+        cols = (self.targets, self.offsets, self.counts)
+        order, new = _group_rows(cols)
+        heads = order[new]  # first occurrence of each key, in key order
+        self.uniq = np.stack([c[heads] for c in cols], axis=1)
+        self.inv = np.empty(m, dtype=np.int64)
+        self.inv[order] = np.cumsum(new) - 1
+        self._occ = (order, np.append(np.flatnonzero(new), m))
         self._key2uid = None
 
     def occurrence_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, starts)``: positions grouped by unique key."""
-        if self._occ is None:
-            order = np.argsort(self.inv, kind="stable")
-            starts = np.searchsorted(self.inv[order],
-                                     np.arange(self.uniq.shape[0] + 1))
-            self._occ = (order, starts)
+        """``(order, starts)``: positions grouped by unique key.
+
+        ``order[starts[u]:starts[u + 1]]`` are the positions of key ``u``,
+        ascending.
+        """
         return self._occ
 
     def key_to_uid(self) -> dict[tuple, int]:
@@ -203,6 +218,12 @@ class ClampiCache:
         # while no insert/evict/flush changed the key set (_state_epoch).
         self._state_epoch = 0
         self._batch_memo: dict[int, tuple] = {}
+        # Fill phase: since creation or the last flush/resize no insert
+        # has needed an eviction or found its probe window full, so
+        # access_batch may resolve misses in bulk (see _fill_run).
+        self._filling = True
+        #: Misses access_batch handed to the scalar :meth:`access`.
+        self.scalar_fallbacks = 0
         self.allocator = BufferAllocator(config.capacity_bytes)
         self.index = HashIndex(config.nslots, config.probe_limit)
         self._tuner = None
@@ -267,12 +288,22 @@ class ClampiCache:
 
         Semantically identical to calling :meth:`access` once per element —
         every hit/miss verdict, duration, statistic, eviction decision and
-        entry-metadata update comes out bit-identical — but runs of
-        consecutive hits are resolved with NumPy lookups against the
-        mirrored array-backed key index; only state-changing events (each
-        miss, with its insert/evict/resize side effects) fall back to the
-        scalar path.  The cached payloads are not materialized: replay
-        callers only need timing and verdicts, the data stays in the cache.
+        entry-metadata update comes out bit-identical — but without one
+        Python call chain per access:
+
+        * In the cache's *fill phase* (from creation, :meth:`flush` or
+          :meth:`resize` until the first insert that needs an eviction or
+          finds its probe window full) and without an adaptive tuner, the
+          stream's prefix up to that insert is resolved in bulk, misses
+          included (:meth:`_fill_run`).
+        * Runs of consecutive hits are resolved with NumPy lookups against
+          the mirrored array-backed key index.
+        * Every other miss — the one that ends the fill phase, every later
+          one, and every miss of a tuner-attached cache — falls back to the
+          scalar path with its insert/evict/resize side effects.
+
+        The cached payloads are not returned: replay callers only need
+        timing and verdicts, the data stays in the cache.
 
         Runs of hits are safe to vectorize because a hit never changes
         cache *membership*: between two misses the key set is frozen, so
@@ -318,9 +349,10 @@ class ClampiCache:
         nbytes_pref = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(nbytes_all, out=nbytes_pref[1:])
 
-        # Candidate miss positions: the initially-predicted ones (sorted)
-        # plus positions re-flagged after evictions, merged via a heap.
-        init_miss = np.flatnonzero(~member[inv])
+        # Candidate miss positions: the initially-predicted ones (sorted,
+        # set once the fill run is done) plus positions re-flagged after
+        # evictions, merged via a heap.
+        init_miss = np.zeros(0, dtype=np.int64)
         ptr = 0
         heap: list[int] = []
         key2uid: dict[tuple, int] | None = None
@@ -353,6 +385,10 @@ class ClampiCache:
         events: list = []
         self._batch_events = events
         try:
+            if self._filling and self._tuner is None:
+                cur = self._fill_run(stream, member, entries, durations,
+                                     hits, hit_dur, nbytes_all)
+            init_miss = np.flatnonzero(~member[inv])
             while True:
                 p = pop_candidate()
                 while p is not None and member[inv[p]]:
@@ -378,6 +414,7 @@ class ClampiCache:
                                                     member, entries)
                     return durations, hits
                 key = (int(targets[p]), int(offsets[p]), int(counts[p]))
+                self.scalar_fallbacks += 1
                 _, dt, was_hit = self.access(*key)
                 if was_hit:  # pragma: no cover - mirror invariant
                     raise CacheError("access_batch: key index mirror diverged")
@@ -417,11 +454,15 @@ class ClampiCache:
         if n_live == 0:
             return np.zeros(uniq.shape[0], dtype=bool)
         stacked = np.concatenate([uniq, self._mirror[:n_live]])
-        _, inv2, cnt = np.unique(stacked, axis=0, return_inverse=True,
-                                 return_counts=True)
-        inv2 = inv2.reshape(-1)
-        # Both inputs are duplicate-free, so count 2 == present in both.
-        return cnt[inv2[:uniq.shape[0]]] > 1
+        order, new = _group_rows((stacked[:, 0], stacked[:, 1],
+                                  stacked[:, 2]))
+        # Both inputs are duplicate-free, so a sorted row equal to its
+        # predecessor pairs a stream key with a live one.
+        dup = np.flatnonzero(~new)
+        member = np.zeros(stacked.shape[0], dtype=bool)
+        member[order[dup]] = True
+        member[order[dup - 1]] = True
+        return member[:uniq.shape[0]]
 
     #: Hit runs at most this long update entry metadata with a plain loop;
     #: longer runs amortize the vectorized group-by machinery.
@@ -466,15 +507,177 @@ class ClampiCache:
         fold[0] = self.stats.mgmt_time
         fold[1:] = cfg.lookup_overhead
         self.stats.mgmt_time = float(np.cumsum(fold)[-1])
-        sub = inv[start:stop]
-        uids, run_inv = np.unique(sub, return_inverse=True)
-        n_acc = np.bincount(run_inv)
-        last_rel = np.full(uids.shape[0], -1, dtype=np.int64)
-        np.maximum.at(last_rel, run_inv, np.arange(k, dtype=np.int64))
-        for i in range(uids.shape[0]):
-            entry = self._lookup_uid(uniq, entries, int(uids[i]))
-            entry.n_accesses += int(n_acc[i])
-            entry.last_access = c0 + 1 + int(last_rel[i])
+        self._touch(uniq, entries, inv[start:stop],
+                    np.arange(c0 + 1, c0 + k + 1, dtype=np.int64))
+
+    def _touch(self, uniq: np.ndarray, entries: list, uids: np.ndarray,
+               clocks: np.ndarray) -> None:
+        """Entry metadata of hits on ``uids`` at increasing ``clocks``."""
+        # Grouping the reversed run finds each key's last hit.
+        keys, last_rev, n_acc = np.unique(uids[::-1], return_index=True,
+                                          return_counts=True)
+        last = clocks[uids.shape[0] - 1 - last_rev]
+        for uid, n, clock in zip(keys.tolist(), n_acc.tolist(),
+                                 last.tolist()):
+            entry = self._lookup_uid(uniq, entries, uid)
+            entry.n_accesses += n
+            entry.last_access = clock
+
+    def _fill_run(self, stream: BatchStream, member: np.ndarray,
+                  entries: list, durations: np.ndarray, hits: np.ndarray,
+                  hit_dur: np.ndarray, nbytes_all: np.ndarray) -> int:
+        """Resolve a fill-phase stream's prefix in bulk; returns its end.
+
+        In the fill phase no insert evicts, so the stream's misses are
+        known up front: the first use of each absent key, and every use
+        of a key no insert can hold (empty, or larger than the buffer).
+        They are taken in program order and placed exactly as
+        :meth:`_try_insert` would place them — the hash slot from
+        :meth:`HashIndex.free_slot`, buffer offsets as best-fit bump runs
+        (:meth:`BufferAllocator.bump_run`, one AVL update per run) — up to
+        the first one that would need an eviction or a full probe window,
+        or whose read raises.  The prefix's durations, statistics, clock
+        and hit metadata are then folded in program order, as
+        :meth:`_apply_hit_run` does for hits.
+
+        Returns the position of that first miss (the scalar path takes it
+        and ends the fill phase, or raises its error), the stream length
+        when every access was resolved, or 0 when nothing was.
+        """
+        uniq, inv = stream.uniq, stream.inv
+        cfg = self.config
+        absent = ~member
+        nbytes_u = uniq[:, 2] * self.window.itemsize
+        never = absent & ((nbytes_u <= 0) | (nbytes_u > cfg.capacity_bytes))
+        order, starts = stream.occurrence_index()
+        miss_pos = order[starts[:-1]][absent & ~never]
+        if never.any():
+            miss_pos = np.union1d(miss_pos, np.flatnonzero(never[inv]))
+        else:
+            miss_pos.sort()
+        n = miss_pos.shape[0]
+        if n == 0:
+            return 0
+        miss_uid = inv[miss_pos]
+        rows = uniq[miss_uid]
+        keys = list(zip(rows[:, 0].tolist(), rows[:, 1].tolist(),
+                        rows[:, 2].tolist()))
+        pos_l = miss_pos.tolist()
+        uid_l = miss_uid.tolist()
+        never_l = never[miss_uid].tolist()
+
+        index, alloc = self.index, self.allocator
+        read, rank, get_time = self.window.read, self.rank, self.network.get_time
+        app_fn = cfg.app_score_fn
+        lookup_oh, insert_oh = cfg.lookup_overhead, cfg.insert_overhead
+        seen = self._seen
+        c0 = self._clock
+        start, room, floor = alloc.bump_run()
+        run: list[int] = []
+        used = 0
+        placed: list[CacheEntry] = []
+        placed_uids: list[int] = []
+        miss_dur: list[float] = []
+        compulsory = 0
+        j = 0
+        try:
+            while j < n:
+                key = keys[j]
+                t, o, c = key
+                try:
+                    data = read(rank, t, o, c)
+                except (WindowError, EpochError):
+                    break  # the scalar path raises it in program order
+                nb = data.nbytes
+                if not never_l[j]:
+                    app = (float(app_fn(t, o, c, data)) if app_fn is not None
+                           else None)
+                    slot = index.free_slot(key)
+                    if slot is None:
+                        break
+                    if floor < nb <= room - used:
+                        off = start + used
+                        used += nb
+                        run.append(nb)
+                    else:  # not the bump region's: exact best fit
+                        alloc.commit_run(start, run)
+                        run, used = [], 0
+                        off = alloc.alloc(nb)
+                        start, room, floor = alloc.bump_run()
+                        if off is None:
+                            break
+                    entry = CacheEntry(key, data, off, nb, c0 + pos_l[j] + 1,
+                                       app)
+                    index.put(slot, key, entry)
+                    placed.append(entry)
+                    placed_uids.append(uid_l[j])
+                if key not in seen:
+                    seen.add(key)
+                    compulsory += 1
+                miss_dur.append(lookup_oh + get_time(nb) + insert_oh)
+                j += 1
+        finally:
+            alloc.commit_run(start, run)
+            stop = 0 if j == 0 else pos_l[j] if j < n else stream.m
+            if stop:
+                self._apply_fill(uniq, inv, member, entries, miss_pos[:j],
+                                 placed, placed_uids, miss_dur, compulsory,
+                                 stop, durations, hits, hit_dur, nbytes_all)
+        return stop
+
+    def _apply_fill(self, uniq: np.ndarray, inv: np.ndarray,
+                    member: np.ndarray, entries: list, miss_pos: np.ndarray,
+                    placed: list, placed_uids: list, miss_dur: list,
+                    compulsory: int, stop: int,
+                    durations: np.ndarray, hits: np.ndarray,
+                    hit_dur: np.ndarray, nbytes_all: np.ndarray) -> None:
+        """Fold positions ``[0, stop)`` of a fill run into the cache state."""
+        cfg = self.config
+        st = self.stats
+        j = miss_pos.shape[0]
+        durations[:stop] = hit_dur[:stop]
+        durations[miss_pos] = miss_dur
+        hits[:stop] = True
+        hits[miss_pos] = False
+        fetched = int(nbytes_all[miss_pos].sum())
+        st.hits += stop - j
+        st.misses += j
+        st.compulsory_misses += compulsory
+        st.insert_failures += j - len(placed)
+        st.bytes_fetched += fetched
+        st.bytes_served_from_cache += int(nbytes_all[:stop].sum()) - fetched
+        # Program order: lookup_overhead per access, insert_overhead right
+        # after each miss's; cumsum folds them left to right.
+        fold = np.full(stop + j + 1, cfg.lookup_overhead)
+        fold[0] = st.mgmt_time
+        fold[miss_pos + np.arange(2, j + 2)] = cfg.insert_overhead
+        st.mgmt_time = float(np.cumsum(fold)[-1])
+        c0 = self._clock
+        self._clock = c0 + stop
+
+        if placed:
+            new_uids = np.array(placed_uids, dtype=np.int64)
+            pos0 = len(self._keys)
+            end = pos0 + len(placed)
+            if end > self._mirror.shape[0]:
+                grown = np.zeros((max(end, 2 * self._mirror.shape[0]), 3),
+                                 dtype=np.int64)
+                grown[:pos0] = self._mirror[:pos0]
+                self._mirror = grown
+            self._mirror[pos0:end] = uniq[new_uids]
+            key_pos = self._key_pos
+            for pos, entry in enumerate(placed, pos0):
+                key_pos[entry.key] = pos
+                self._keys.append(entry.key)
+            self._state_epoch += len(placed)
+            member[new_uids] = True
+            for uid, entry in zip(placed_uids, placed):
+                entries[uid] = entry
+        hit_pos = np.ones(stop, dtype=bool)
+        hit_pos[miss_pos] = False
+        hit_pos = np.flatnonzero(hit_pos)
+        if hit_pos.shape[0]:
+            self._touch(uniq, entries, inv[hit_pos], hit_pos + (c0 + 1))
 
     # -- insertion & eviction ------------------------------------------------------
     def _prospective_score(self, key: tuple, app_score: float | None) -> float:
@@ -502,6 +705,8 @@ class ClampiCache:
         # 1. Buffer space (capacity evictions).
         buf_off = self.allocator.alloc(nbytes)
         evictions = 0
+        if buf_off is None:
+            self._filling = False
         while buf_off is None:
             if evictions >= cfg.max_evictions_per_insert:
                 self.stats.insert_failures += 1
@@ -527,6 +732,7 @@ class ClampiCache:
 
         # 2. Hash slot (conflict evictions inside the probe window).
         if not self.index.insert(key, entry):
+            self._filling = False
             self.stats.hash_conflicts += 1
             window_entries = [e for _, e in self.index.probe_window(key)]
             if not window_entries:
@@ -716,6 +922,7 @@ class ClampiCache:
             self._keys.clear()
             self._key_pos.clear()
             self._state_epoch += 1
+            self._filling = True
             if self._batch_events is not None:
                 self._batch_events.append(_CLEARED)
             self.stats.flushes += 1
@@ -736,6 +943,7 @@ class ClampiCache:
         self._keys.clear()
         self._key_pos.clear()
         self._state_epoch += 1
+        self._filling = True
         if self._batch_events is not None:
             self._batch_events.append(_CLEARED)
         self.stats.flushes += 1

@@ -77,6 +77,27 @@ class HashIndex:
         self._count += 1
         return True
 
+    def free_slot(self, key: Hashable) -> int | None:
+        """Slot :meth:`insert` would fill for an absent ``key``; changes nothing.
+
+        None when the probe window is full (the insert would conflict).
+        """
+        n = self.nslots
+        home = hash(key) % n
+        slots = self._slots
+        for i in range(self.probe_limit):
+            idx = (home + i) % n
+            if slots[idx] is None:
+                return idx
+        return None
+
+    def put(self, idx: int, key: Hashable, value: Any) -> None:
+        """Store an absent ``key`` in the slot :meth:`free_slot` returned."""
+        if self._slots[idx] is not None:
+            raise CacheError(f"hash index: slot {idx} is occupied")
+        self._slots[idx] = (key, value)
+        self._count += 1
+
     def remove(self, key: Hashable) -> Any:
         """Remove ``key`` and return its value; raises CacheError if absent.
 

@@ -259,9 +259,13 @@ def cmd_bench(args) -> int:
         print(f"{name:22s} wall {row['wall_clock_s']:8.3f}s  "
               f"simulated {row['simulated_time_s']:.6g}s{hit_s}")
     for name, row in report["cached_replay"].items():
+        fallbacks = ""
+        if "cold_misses" in row:
+            fallbacks = (f", cold scalar fallbacks "
+                         f"{row['cold_scalar_fallbacks']}/{row['cold_misses']}")
         print(f"{name:22s} batched replay: cold {row['cold_speedup']:.1f}x, "
               f"warm {row['warm_speedup']:.1f}x vs loop  "
-              f"(bit-identical: {row['bit_identical']})")
+              f"(bit-identical: {row['bit_identical']}{fallbacks})")
     for name, row in report.get("linalg", {}).items():
         print(f"{name:22s} algebraic replay: warm "
               f"{row['warm_speedup']:.1f}x vs loop on "

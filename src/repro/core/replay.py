@@ -9,9 +9,10 @@ same runs in bulk:
 * each rank's access pattern is *known up front* (it is a pure function of
   the partitioned CSR), so the remote gets are emitted as NumPy access
   streams and pushed through :meth:`ClampiCache.access_batch`, which
-  resolves runs of pure hits vectorized and only falls back to the scalar
-  cache for state-changing events (misses with their insert/evict/resize
-  side effects);
+  resolves runs of pure hits vectorized, resolves a cache's fill-phase
+  misses in bulk, and only falls back to the scalar cache for the misses
+  from the first insert that needs an eviction (or a full probe window)
+  on, with their insert/evict/resize side effects;
 * per-edge compute costs come from the closed-form vectorized formulas in
   :mod:`repro.analysis.throughput` and the scores from the batched counting
   path in :mod:`repro.core.local`, exactly like the cache-less fast path in

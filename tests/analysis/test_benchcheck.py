@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.benchreport import (
+    COLD_FALLBACK_CEILING,
     DEFAULT_CHECK_TOLERANCE,
     check_against_baseline,
     load_report,
@@ -82,6 +83,32 @@ class TestGate:
 
     def test_default_tolerance_is_loose(self):
         assert 0 < DEFAULT_CHECK_TOLERANCE <= 0.5
+
+
+class TestColdFallbackGate:
+    """Rows that count their cold misses gate the scalar-fallback share."""
+
+    @staticmethod
+    def fresh(fallbacks, misses=1000):
+        row = dict(replay_row(warm=9.0), cold_misses=misses,
+                   cold_scalar_fallbacks=fallbacks)
+        return report_with({"lcc:a": row, "tc:a": replay_row(warm=13.0)})
+
+    def test_share_under_the_ceiling_passes(self):
+        fallbacks = int(COLD_FALLBACK_CEILING * 1000)
+        assert check_against_baseline(self.fresh(fallbacks), BASELINE) == []
+
+    def test_share_over_the_ceiling_fails(self):
+        problems = check_against_baseline(self.fresh(1000), BASELINE)
+        assert len(problems) == 1
+        assert "lcc:a" in problems[0] and "scalar cache path" in problems[0]
+
+    def test_query_without_misses_passes(self):
+        report = self.fresh(0, misses=0)
+        assert check_against_baseline(report, BASELINE) == []
+
+    def test_ceiling_is_a_strict_share(self):
+        assert 0 < COLD_FALLBACK_CEILING < 1
 
 
 class TestCommittedBaseline:
