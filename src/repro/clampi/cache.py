@@ -550,11 +550,8 @@ class ClampiCache:
         nbytes_u = uniq[:, 2] * self.window.itemsize
         never = absent & ((nbytes_u <= 0) | (nbytes_u > cfg.capacity_bytes))
         order, starts = stream.occurrence_index()
-        miss_pos = order[starts[:-1]][absent & ~never]
-        if never.any():
-            miss_pos = np.union1d(miss_pos, np.flatnonzero(never[inv]))
-        else:
-            miss_pos.sort()
+        miss_pos = np.union1d(order[starts[:-1]][absent & ~never],
+                              np.flatnonzero(never[inv]))
         n = miss_pos.shape[0]
         if n == 0:
             return 0

@@ -68,6 +68,48 @@ class TestBestFit:
         assert a.largest_free_block() == 40
 
 
+class TestBumpRun:
+    """``commit_run`` of a run within ``bump_run``'s bounds equals alloc()s."""
+
+    @staticmethod
+    def state(a):
+        return a.used_blocks(), list(a._free_by_size), a.free_bytes
+
+    def test_fresh_buffer_bumps_from_zero(self):
+        a, b = BufferAllocator(100), BufferAllocator(100)
+        assert a.bump_run() == (0, 100, 0)
+        sizes = [30, 10, 25]
+        a.commit_run(0, sizes)
+        assert [b.alloc(s) for s in sizes] == [0, 30, 40]
+        assert self.state(a) == self.state(b)
+        a.check_invariants()
+
+    def test_floor_is_the_second_largest_region(self):
+        a = BufferAllocator(100)
+        o = [a.alloc(s) for s in (20, 10, 30)]  # tail [60, 100)
+        a.free(o[1])                            # 10-byte hole at 20
+        assert a.bump_run() == (60, 40, 10)
+        # Larger than the hole: best fit takes the bump region.
+        assert a.alloc(11) == 60
+        # Not larger: best fit takes the hole instead.
+        assert a.alloc(10) == 20
+
+    def test_whole_region_run(self):
+        a = BufferAllocator(64)
+        a.commit_run(0, [32, 32])
+        assert a.free_bytes == 0 and a.bump_run() == (0, 0, 0)
+        a.check_invariants()
+
+    def test_oversized_run_rejected(self):
+        a = BufferAllocator(64)
+        with pytest.raises(AllocationError):
+            a.commit_run(0, [40, 40])
+        with pytest.raises(AllocationError):
+            a.commit_run(8, [4])  # not the head of a free region
+        a.commit_run(0, [])       # an empty run changes nothing
+        assert a.free_bytes == 64
+
+
 class TestCoalescing:
     def test_adjacent_frees_merge(self):
         a = BufferAllocator(100)

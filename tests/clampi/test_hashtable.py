@@ -72,6 +72,27 @@ class TestProbing:
         assert h.insert("b", 2)
         assert h.lookup("b") == 2
 
+    def test_free_slot_is_where_insert_lands(self):
+        h, twin = HashIndex(4, probe_limit=2), HashIndex(4, probe_limit=2)
+        for key in range(3):
+            slot = h.free_slot(key)
+            h.put(slot, key, key)
+            twin.insert(key, key)
+        assert h._slots == twin._slots
+        assert len(h) == len(twin) == 3
+
+    def test_free_slot_none_when_window_full(self):
+        h = HashIndex(1, probe_limit=1)
+        h.insert("a", 1)
+        assert h.free_slot("b") is None
+        assert h.conflicts == 0  # the probe changes nothing
+
+    def test_put_refuses_an_occupied_slot(self):
+        h = HashIndex(1, probe_limit=1)
+        h.insert("a", 1)
+        with pytest.raises(CacheError):
+            h.put(0, "b", 2)
+
     def test_load_factor(self):
         h = HashIndex(10)
         for i in range(5):

@@ -11,10 +11,10 @@ The tight geometries mostly exercise the eviction path; the roomy ones
 (buffer at or above the working set, many more hash slots than keys, long
 Zipf-skewed streams) keep the caches in their fill phase, where
 ``access_batch`` resolves misses in bulk, and also cover the fill-to-evict
-transition inside one batch, flushes and invalidations between batches,
-and an adaptive tuner resizing mid-stream.  There the twins are compared
-on their full state: every counter, the clock, the eviction RNG, the
-allocator and hash-slot layout, the key order and every entry.
+transition inside one batch, flushes, invalidations and rekeys between
+batches, and an adaptive tuner resizing mid-stream.  There the twins are
+compared on their full state: every counter, the clock, the eviction RNG,
+the allocator and hash-slot layout, the key order and every entry.
 """
 
 import dataclasses
@@ -213,7 +213,7 @@ slot_factors = st.sampled_from([1, 4, 8, 32])
 
 #: What happens to the batched twin (and the scalar one, at the same
 #: point) between two chunks.
-between = st.sampled_from(["none", "none", "flush", "invalidate"])
+between = st.sampled_from(["none", "none", "flush", "invalidate", "rekey"])
 
 
 def run_twins(batched, scalar, keys, chunk, hook, hook_rng):
@@ -241,6 +241,10 @@ def run_twins(batched, scalar, keys, chunk, hook, hook_rng):
             drop = [live[i] for i in hook_rng.choice(
                 len(live), size=max(1, len(live) // 3), replace=False)]
             assert batched.invalidate(drop) == scalar.invalidate(drop)
+        elif hook == "rekey" and len(batched):
+            live = list(batched._keys)
+            moved = [(k, (k[0], k[1] + 1, k[2])) for k in live[::3]]
+            assert batched.rekey(moved) == scalar.rekey(moved)
         assert_same_state(batched, scalar)
 
 
